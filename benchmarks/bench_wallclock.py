@@ -21,6 +21,11 @@ Two workloads, both asserting byte-identical results between arms:
   ``encode_kernels`` (``use_vectorized_encode`` on) vs the per-row,
   per-value interpreted encoder, asserting byte-identical packed
   LogBlocks member-by-member and >= 3x rows per CPU second.
+* **archive** — whole ``request_log`` LogBlocks as the builder writes
+  them: per-tenant blocks, ``codec="zlib"``, every index and Bloom
+  filter built (the free-text ``log`` column included), vectorized
+  writer vs the interpreted one; member-identical packs and >= 1.5x
+  rows per CPU second.
 
 Numbers land in ``BENCH_wallclock.json`` (committed from a full run).
 """
@@ -33,7 +38,13 @@ import time
 
 from harness import build_dataset, emit, make_env
 
-from repro.logblock.schema import ColumnSpec, ColumnType, IndexType, TableSchema
+from repro.logblock.schema import (
+    ColumnSpec,
+    ColumnType,
+    IndexType,
+    TableSchema,
+    request_log_schema,
+)
 from repro.logblock.writer import LogBlockWriter
 from repro.oss.costmodel import free
 from repro.oss.store import InMemoryObjectStore
@@ -42,6 +53,7 @@ from repro.query.sql import parse_sql
 from repro.tarpack.reader import PackReader
 from repro.wal.log import MemorySegmentBackend, WriteAheadLog
 from repro.wal.record import WalEntryEncoder
+from repro.workload.generator import LogRecordGenerator, WorkloadConfig
 
 QUICK = os.environ.get("BENCH_QUICK") == "1"
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_wallclock.json")
@@ -51,6 +63,8 @@ SCAN_QUERIES = 4 if QUICK else 12
 INGEST_BATCHES = 300 if QUICK else 3_000
 ROWS_PER_BATCH = 8
 BUILD_ROWS = 8_000 if QUICK else 40_000
+ARCHIVE_TENANTS = 40
+ARCHIVE_BLOCK_ROWS = 2_000  # rows per LogBlock, cut per tenant
 GROUP_SIZE = 16  # client batches per coalesced group, as group commit packs them
 BASE_TS = 1_605_052_800_000_000
 
@@ -259,13 +273,8 @@ def test_ingest_coalesced_vs_per_entry(capsys):
 
 
 def builder_schema() -> TableSchema:
-    """Request-metrics shape: every column the encode kernels cover.
-
-    Free-text columns (PLAIN string blocks) fall back to the
-    interpreted encoder by design and would measure the oracle against
-    itself; the differential suite covers that path, this benchmark
-    measures the kernels.
-    """
+    """Request-metrics shape: numeric, bool and low-cardinality string
+    columns.  Free text and index builds are the archive arm's."""
     return TableSchema(
         name="request_metrics",
         columns=(
@@ -375,8 +384,91 @@ def test_builder_encode_vectorized_vs_interpreted(capsys):
     )
 
 
+def archive_chunks() -> list[list[dict]]:
+    """Zipf-tenant request logs cut into per-tenant, time-ordered
+    LogBlock chunks, the way ``DataBuilder`` cuts a sealed memtable."""
+    generator = LogRecordGenerator(WorkloadConfig(n_tenants=ARCHIVE_TENANTS, seed=7))
+    by_tenant: dict[int, list[dict]] = {}
+    for row in generator.stream(BASE_TS, 600, BUILD_ROWS / 600):
+        by_tenant.setdefault(row["tenant_id"], []).append(row)
+    return [
+        rows[start : start + ARCHIVE_BLOCK_ROWS]
+        for _, rows in sorted(by_tenant.items())
+        for start in range(0, len(rows), ARCHIVE_BLOCK_ROWS)
+    ]
+
+
+def test_archive_indexes_vectorized_vs_interpreted(capsys):
+    schema = request_log_schema()
+    chunks = archive_chunks()
+    rows = sum(len(chunk) for chunk in chunks)
+
+    def run_vectorized():
+        blobs = []
+        for chunk in chunks:
+            writer = LogBlockWriter(schema, codec="zlib", vectorized=True)
+            writer.append_many(chunk)
+            blobs.append(writer.finish())
+        return blobs
+
+    def run_interpreted():
+        blobs = []
+        for chunk in chunks:
+            writer = LogBlockWriter(schema, codec="zlib", vectorized=False)
+            for row in chunk:
+                writer.append(row)
+            blobs.append(writer.finish())
+        return blobs
+
+    vec_blobs, vec_wall, vec_cpu = timed(run_vectorized, SCAN_REPEATS)
+    int_blobs, int_wall, int_cpu = timed(run_interpreted, SCAN_REPEATS)
+
+    assert len(vec_blobs) == len(int_blobs) == len(chunks)
+    for vec_blob, int_blob in zip(vec_blobs, int_blobs):
+        vec_members, int_members = pack_members(vec_blob), pack_members(int_blob)
+        assert vec_members.keys() == int_members.keys()
+        assert any(name.startswith("idx/") for name in vec_members)
+        for name in int_members:
+            assert vec_members[name] == int_members[name], f"member {name!r} diverged"
+        assert vec_blob == int_blob
+
+    speedup = (rows / vec_cpu) / (rows / int_cpu)
+    floor = 1.0 if QUICK else 1.5
+    assert speedup >= floor, (
+        f"vectorized archive {speedup:.2f}x interpreted rows/CPU-s, need >= {floor}x"
+    )
+
+    RESULTS["archive"] = {
+        "rows": rows,
+        "blocks": len(chunks),
+        "tenants": ARCHIVE_TENANTS,
+        "pack_bytes": sum(len(blob) for blob in vec_blobs),
+        "speedup_rows_per_cpu_s": round(speedup, 2),
+        "vectorized": {
+            "wall_s": round(vec_wall, 6),
+            "cpu_s": round(vec_cpu, 6),
+            "rows_per_cpu_s": round(rows / vec_cpu, 0),
+        },
+        "interpreted": {
+            "wall_s": round(int_wall, 6),
+            "cpu_s": round(int_cpu, 6),
+            "rows_per_cpu_s": round(rows / int_cpu, 0),
+        },
+    }
+    emit(
+        capsys,
+        "",
+        f"Wall-clock archive ({rows:,} request_log rows, {len(chunks)} LogBlocks,"
+        " zlib, indexes on):",
+        f"  vectorized  : {vec_cpu:.4f} cpu-s, {rows / vec_cpu:>12,.0f} rows/cpu-s",
+        f"  interpreted : {int_cpu:.4f} cpu-s, {rows / int_cpu:>12,.0f} rows/cpu-s",
+        f"  speedup: {speedup:.2f}x rows per CPU second,"
+        f" member-identical LogBlocks (floor {floor}x)",
+    )
+
+
 def test_write_results_json(capsys):
-    assert "scan" in RESULTS and "ingest" in RESULTS and "builder" in RESULTS
+    assert {"scan", "ingest", "builder", "archive"} <= RESULTS.keys()
     with open(OUT_PATH, "w") as handle:
         json.dump(RESULTS, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -470,12 +470,6 @@ class Shard:
             raise ClusterError(f"shard {self.shard_id} has no replicas to recover")
         self._raft.recover_node(node_id)
 
-    def replica_store(self, node_id: str) -> RowStore | None:
-        """A specific replica's row store (invariant checks)."""
-        if self._raft is None:
-            return None
-        return self._replica_stores.get(node_id)
-
     def scan_realtime(self, min_ts=None, max_ts=None, tenant_id=None):
         """Rows still in the local row store (not yet archived)."""
         self.access_count.add()

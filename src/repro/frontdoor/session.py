@@ -280,7 +280,3 @@ class SessionPool:
         self._sessions = [s for s in self._sessions if not s.closed]
         return len(self._sessions)
 
-    def close_all(self) -> None:
-        for session in self._sessions:
-            session.close()
-        self._sessions = []

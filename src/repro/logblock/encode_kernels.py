@@ -14,8 +14,8 @@ Byte-identity is the contract, checked three ways:
   byte layout (same null bitsets, same dictionary sort, same LEB128
   codes, same sequential float accumulation for SMA sums);
 * fallback — shapes whose vectorized result could diverge (NaN or
-  signed-zero float SMAs, ints stored in FLOAT64 columns, plain-string
-  blocks, unsupported value types) raise :class:`EncodeFallback` or
+  signed-zero float SMAs, ints stored in FLOAT64 columns, unsupported
+  value types) raise :class:`EncodeFallback` or
   return the interpreted result, exactly like ``VectorizeFallback`` on
   the scan side;
 * tests — differential + hypothesis suites compare whole packed
@@ -37,7 +37,7 @@ from repro.common.bytesio import BinaryWriter
 from repro.logblock.column import (
     _DICT_MAX_CARDINALITY_FRACTION,
     _STRING_DICT,
-    encode_block,
+    _STRING_PLAIN,
 )
 from repro.logblock.schema import ColumnType
 from repro.logblock.sma import Sma, compute_sma, compute_sma_arrays
@@ -89,7 +89,7 @@ class PreparedColumn:
     """One column transposed into numpy form, shared by all its blocks."""
 
     ctype: ColumnType
-    values: list  # original python values — oracle fallback + plain strings
+    values: list  # original python values — oracle fallback
     null_mask: np.ndarray  # bool, one per row
     vector: np.ndarray  # int64/float64/bool vector; object array for STRING
     # SMA fast path eligibility is a column-level property (e.g. a
@@ -100,38 +100,68 @@ class PreparedColumn:
     sma_reason: str | None = None
 
 
+def uvarint_stream(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LEB128 bytes of every value, plus each value's byte count."""
+    values = np.ascontiguousarray(values, dtype=np.uint64)
+    top = int(values.max()) if values.size else 0
+    if top < 0x80:
+        # Dictionary codes and short-string lengths are < 128 in the
+        # common case, so the whole stream is one cast.
+        return values.astype(np.uint8), np.ones(values.size, dtype=np.int64)
+    n_bytes = np.ones(values.size, dtype=np.int64)
+    for shift in range(7, top.bit_length(), 7):
+        n_bytes += values >= (1 << shift)
+    ends = np.cumsum(n_bytes)
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    # Write every value's low 7 bits, then carry on with the values that
+    # have more: a continuation bit on all but each value's last byte.
+    pos, rest, left = ends - n_bytes, values, n_bytes
+    while pos.size:
+        more = left > 1
+        out[pos] = (rest & np.uint64(0x7F)).astype(np.uint8) | (more * np.uint8(0x80))
+        pos, rest, left = pos[more] + 1, rest[more] >> np.uint64(7), left[more] - 1
+    return out, n_bytes
+
+
 def encode_uvarint_array(values: np.ndarray) -> bytes:
     """LEB128-encode a vector of unsigned ints, byte-identical to a
     per-value :meth:`BinaryWriter.write_uvarint` loop."""
-    values = np.ascontiguousarray(values, dtype=np.uint64)
-    if values.size == 0:
-        return b""
-    if int(values.max()) < 0x80:
-        # Dictionary codes are < 128 for every dict of ≤ 127 entries —
-        # the common case — so the whole code stream is one cast.
-        return values.astype(np.uint8).tobytes()
-    n = values.size
-    n_bytes = np.ones(n, dtype=np.int64)
-    rest = values >> np.uint64(7)
-    while rest.any():
-        n_bytes += rest > 0
-        rest >>= np.uint64(7)
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(n_bytes[:-1], out=offsets[1:])
-    out = np.zeros(int(offsets[-1] + n_bytes[-1]), dtype=np.uint8)
-    remaining = values.copy()
-    active = np.ones(n, dtype=bool)
-    byte_idx = 0
-    while active.any():
-        chunk = remaining[active]
-        more = chunk >= 0x80
-        out[offsets[active] + byte_idx] = (
-            chunk & np.uint64(0x7F)
-        ).astype(np.uint8) | (more.astype(np.uint8) << 7)
-        remaining[active] = chunk >> np.uint64(7)
-        active &= remaining > 0
-        byte_idx += 1
-    return out.tobytes()
+    return uvarint_stream(values)[0].tobytes()
+
+
+def interleave(
+    first: np.ndarray, first_lens: np.ndarray, second: np.ndarray, second_lens: np.ndarray
+) -> np.ndarray:
+    """Two item-wise byte streams merged as item 0 of ``first``, item 0
+    of ``second``, item 1 of ``first``, ...; ``*_lens`` give each
+    item's byte count."""
+    out = np.empty(first.size + second.size, dtype=np.uint8)
+    # A byte of item i moves forward by the other stream's bytes that
+    # precede it: items < i of ``second``, items <= i of ``first``.
+    first_ends, second_ends = np.cumsum(first_lens), np.cumsum(second_lens)
+    out[np.arange(first.size) + np.repeat(second_ends - second_lens, first_lens)] = first
+    out[np.arange(second.size) + np.repeat(first_ends, second_lens)] = second
+    return out
+
+
+def str_stream(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Length-prefixed UTF-8 of every value, plus each item's byte count."""
+    joined = "".join(values)
+    if joined.isascii():
+        data = joined.encode("ascii")
+        lens = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+    else:
+        encoded = [value.encode("utf-8") for value in values]
+        data = b"".join(encoded)
+        lens = np.fromiter(map(len, encoded), dtype=np.int64, count=len(values))
+    prefix, prefix_lens = uvarint_stream(lens)
+    out = interleave(prefix, prefix_lens, np.frombuffer(data, dtype=np.uint8), lens)
+    return out, prefix_lens + lens
+
+
+def encode_str_stream(values: list[str]) -> bytes:
+    """Byte-identical to a :meth:`BinaryWriter.write_str` loop over ``values``."""
+    return str_stream(values)[0].tobytes()
 
 
 def _object_array(values: list) -> np.ndarray:
@@ -229,25 +259,28 @@ def encode_block_range(
         )
         return writer.getvalue(), MODE_VECTORIZED, None
 
-    # STRING: vectorize the DICT shape (np.unique assigns codes with the
-    # oracle's exact sorted-distinct order); PLAIN blocks fall back.
-    chunk = prep.vector[start:stop]
-    present = chunk[~nulls]
-    n_rows = stop - start
-    if present.size and n_rows >= 16:
-        ordered, inverse = np.unique(present, return_inverse=True)
-        if len(ordered) <= _DICT_MAX_CARDINALITY_FRACTION * present.size:
-            writer.write_u8(_STRING_DICT)
-            writer.write_uvarint(len(ordered))
-            for value in ordered.tolist():
-                writer.write_str(value)
-            # Code 0 is reserved for null; real codes are shifted by one.
-            codes = np.zeros(n_rows, dtype=np.uint64)
-            codes[~nulls] = inverse.astype(np.uint64) + 1
-            writer.write_bytes(encode_uvarint_array(codes))
-            return writer.getvalue(), MODE_VECTORIZED, None
-    payload = encode_block(prep.values[start:stop], prep.ctype)
-    return payload, MODE_INTERPRETED, "plain string block"
+    # STRING: DICT when few distinct values, else PLAIN — the oracle's
+    # choice, dictionary order and codes, with C-driven set/map passes.
+    values = prep.values[start:stop]
+    n_present = len(values) - int(nulls.sum())
+    distinct = set(values)
+    distinct.discard(None)
+    few = len(distinct) <= _DICT_MAX_CARDINALITY_FRACTION * n_present
+    if n_present and len(values) >= 16 and few:
+        ordered = sorted(distinct)
+        writer.write_u8(_STRING_DICT)
+        writer.write_uvarint(len(ordered))
+        writer.write_bytes(encode_str_stream(ordered))
+        # Code 0 is reserved for null; real codes are shifted by one.
+        code_of = dict(zip(ordered, range(1, len(ordered) + 1)))
+        code_of[None] = 0
+        codes = np.fromiter(map(code_of.__getitem__, values), dtype=np.uint64, count=len(values))
+        writer.write_bytes(encode_uvarint_array(codes))
+        return writer.getvalue(), MODE_VECTORIZED, None
+    writer.write_u8(_STRING_PLAIN)
+    # Nulls are written as "" placeholders, as the oracle does.
+    writer.write_bytes(encode_str_stream(["" if v is None else v for v in values]))
+    return writer.getvalue(), MODE_VECTORIZED, None
 
 
 def compute_sma_range(

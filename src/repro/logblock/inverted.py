@@ -21,6 +21,7 @@ clustered terms.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from typing import Iterable
 
@@ -28,16 +29,31 @@ import numpy as np
 
 from repro.common.bitset import Bitset
 from repro.common.bytesio import BinaryReader, BinaryWriter
-from repro.logblock.tokenizer import normalize_term, tokenize_unique
+from repro.logblock.encode_kernels import interleave, str_stream, uvarint_stream
+from repro.logblock.tokenizer import normalize_term, tokenize_many, tokenize_unique
 
 
 class InvertedIndexBuilder:
-    """Accumulates term → row-id postings while rows are appended."""
+    """Accumulates ``(term, row id)`` pairs while rows are appended.
+
+    Each distinct term gets a serial number when first seen; the pairs
+    are kept as flat ``(serial, row)`` chunks (python lists from
+    :meth:`add`, numpy arrays from :meth:`add_many`), and :meth:`build`
+    groups them once.
+    """
 
     def __init__(self, tokenize: bool) -> None:
         self._tokenize = tokenize
-        self._postings: dict[str, list[int]] = {}
+        # Serial -1 marks a null value (untokenized columns look nulls up
+        # with the values); it is never a term.
+        self._serials: dict = {None: -1}
+        self._next_serial = itertools.count()
+        self._serial_chunks: list = []
+        self._row_chunks: list = []
         self._row_count = 0
+
+    def _serials_of(self, terms: Iterable) -> Iterable[int]:
+        return map(self._serials.setdefault, terms, self._next_serial)
 
     def add(self, row_id: int, value: str | None) -> None:
         """Index ``value`` for ``row_id``.  Nulls are simply absent."""
@@ -48,67 +64,88 @@ class InvertedIndexBuilder:
             terms: Iterable[str] = tokenize_unique(value)
         else:
             terms = (value,)  # raw: exact-match must mirror scan equality
-        for term in terms:
-            bucket = self._postings.setdefault(term, [])
-            if not bucket or bucket[-1] != row_id:
-                bucket.append(row_id)
+        if not self._serial_chunks or not isinstance(self._serial_chunks[-1], list):
+            self._serial_chunks.append([])
+            self._row_chunks.append([])
+        serials = self._serial_chunks[-1]
+        before = len(serials)
+        serials.extend(self._serials_of(terms))
+        self._row_chunks[-1].extend([row_id] * (len(serials) - before))
 
     def add_many(self, start_row_id: int, values: list) -> None:
         """Batch :meth:`add` for rows ``start_row_id ..+ len(values)``.
 
-        Untokenized columns group rows per distinct term with one
-        ``np.unique`` + stable argsort instead of a dict probe per row;
-        postings come out in the same ascending row order as the
-        per-row loop.  Tokenized columns keep the per-row tokenizer.
+        A tokenized column is tokenized in one pass when
+        :func:`tokenize_many` can prove that equal to the per-row
+        tokenizer, else row by row.
         """
         count = len(values)
         if not count:
             return
         self._row_count = max(self._row_count, start_row_id + count)
-        if self._tokenize:
-            for offset, value in enumerate(values):
-                if value is not None:
-                    self.add(start_row_id + offset, value)
+        if not self._tokenize:
+            serials = np.fromiter(self._serials_of(values), dtype=np.int64, count=count)
+            present = serials >= 0
+            self._serial_chunks.append(serials[present])
+            self._row_chunks.append(np.flatnonzero(present) + start_row_id)
             return
-        arr = np.empty(count, dtype=object)
-        arr[:] = values
-        idx = np.flatnonzero(~np.equal(arr, None))
-        if not idx.size:
+        rows = [row for row, value in enumerate(values) if value is not None]
+        if not rows:
             return
-        ordered, inverse = np.unique(arr[idx], return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        sorted_rows = (idx[order] + start_row_id).tolist()
-        counts = np.bincount(inverse, minlength=len(ordered)).tolist()
-        pos = 0
-        for term, term_rows in zip(ordered.tolist(), counts):
-            rows = sorted_rows[pos : pos + term_rows]
-            pos += term_rows
-            bucket = self._postings.setdefault(term, [])
-            if bucket and bucket[-1] == rows[0]:
-                # The per-row path skips a row re-adding its last term.
-                rows = rows[1:]
-            bucket.extend(rows)
+        tokenized = tokenize_many([values[row] for row in rows])
+        if tokenized is None:
+            for row in rows:
+                self.add(start_row_id + row, values[row])
+            return
+        tokens, counts = tokenized
+        self._serial_chunks.append(
+            np.fromiter(self._serials_of(tokens), dtype=np.int64, count=len(tokens))
+        )
+        self._row_chunks.append(np.repeat(np.asarray(rows, dtype=np.int64) + start_row_id, counts))
 
     def build(self) -> "InvertedIndex":
-        terms = sorted(self._postings)
-        postings = [np.asarray(self._postings[term], dtype=np.int64) for term in terms]
-        return InvertedIndex(terms, postings, self._row_count, self._tokenize)
+        """Group the pairs: sorted distinct terms, each with its sorted,
+        distinct row ids."""
+        terms = sorted(term for term, serial in self._serials.items() if serial >= 0)
+        offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+        if not terms:
+            no_rows = np.empty(0, dtype=np.int64)
+            return InvertedIndex([], no_rows, offsets, self._row_count, self._tokenize)
+        serials = np.concatenate([np.asarray(c, dtype=np.int64) for c in self._serial_chunks])
+        rows = np.concatenate([np.asarray(c, dtype=np.int64) for c in self._row_chunks])
+        rank = np.empty(int(serials.max()) + 1, dtype=np.int64)
+        rank[[self._serials[term] for term in terms]] = np.arange(len(terms))
+        # One sort of (term, row) keys; a term that repeats within one
+        # row is posted once.
+        keys = rank[serials] * self._row_count + rows
+        keys.sort()
+        distinct = np.ones(keys.size, dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        term_ids, rows = np.divmod(keys[distinct], self._row_count)
+        np.cumsum(np.bincount(term_ids, minlength=len(terms)), out=offsets[1:])
+        return InvertedIndex(terms, rows, offsets, self._row_count, self._tokenize)
 
 
 class InvertedIndex:
-    """Immutable queryable inverted index."""
+    """Immutable queryable inverted index.
+
+    Postings are one flat row-id array; term ``i`` owns
+    ``rows[offsets[i]:offsets[i + 1]]``.
+    """
 
     def __init__(
         self,
         terms: list[str],
-        postings: list[np.ndarray],
+        rows: np.ndarray,
+        offsets: np.ndarray,
         row_count: int,
         tokenize: bool,
     ) -> None:
-        if len(terms) != len(postings):
+        if len(offsets) != len(terms) + 1:
             raise ValueError("terms and postings length mismatch")
         self._terms = terms
-        self._postings = postings
+        self._rows = rows
+        self._offsets = offsets
         self._row_count = row_count
         self._tokenize = tokenize
 
@@ -136,21 +173,18 @@ class InvertedIndex:
         needle = normalize_term(term) if self._tokenize else term
         idx = bisect_left(self._terms, needle)
         if idx < len(self._terms) and self._terms[idx] == needle:
-            return self._postings[idx]
+            return self._rows[self._offsets[idx] : self._offsets[idx + 1]]
         return np.empty(0, dtype=np.int64)
 
     def lookup_prefix(self, prefix: str) -> np.ndarray:
         """Row ids containing any term with the given prefix."""
         needle = normalize_term(prefix) if self._tokenize else prefix
         start = bisect_left(self._terms, needle)
-        hits: list[np.ndarray] = []
-        for idx in range(start, len(self._terms)):
-            if not self._terms[idx].startswith(needle):
-                break
-            hits.append(self._postings[idx])
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(hits))
+        stop = start
+        while stop < len(self._terms) and self._terms[stop].startswith(needle):
+            stop += 1
+        # Matching terms are adjacent, so their postings are one slice.
+        return np.unique(self._rows[self._offsets[start] : self._offsets[stop]])
 
     def match_all(self, terms: Iterable[str]) -> Bitset:
         """Rows containing *all* the given terms (full-text AND match)."""
@@ -180,13 +214,25 @@ class InvertedIndex:
         writer.write_u8(1 if self._tokenize else 0)
         writer.write_uvarint(self._row_count)
         writer.write_uvarint(len(self._terms))
-        for term, rows in zip(self._terms, self._postings):
-            writer.write_str(term)
-            writer.write_uvarint(len(rows))
-            prev = 0
-            for row in rows.tolist():
-                writer.write_uvarint(row - prev)
-                prev = row
+        if not self._terms:
+            return writer.getvalue()
+        # Per term: the term string, then one uvarint stream holding the
+        # posting count and the row-id deltas (reset at each term).
+        starts = self._offsets[:-1]
+        counts = np.diff(self._offsets)
+        deltas = self._rows.copy()
+        deltas[1:] -= self._rows[:-1]
+        deltas[starts] = self._rows[starts]
+        count_at = starts + np.arange(len(self._terms))
+        ints = np.empty(self._rows.size + len(self._terms), dtype=np.int64)
+        is_delta = np.ones(ints.size, dtype=bool)
+        is_delta[count_at] = False
+        ints[count_at] = counts
+        ints[is_delta] = deltas
+        posting_bytes, n_bytes = uvarint_stream(ints)
+        term_bytes, term_lens = str_stream(self._terms)
+        body = interleave(term_bytes, term_lens, posting_bytes, np.add.reduceat(n_bytes, count_at))
+        writer.write_bytes(body.tobytes())
         return writer.getvalue()
 
     @classmethod
@@ -196,15 +242,20 @@ class InvertedIndex:
         row_count = reader.read_uvarint()
         term_count = reader.read_uvarint()
         terms: list[str] = []
-        postings: list[np.ndarray] = []
+        rows: list[int] = []
+        offsets = [0]
         for _ in range(term_count):
-            term = reader.read_str()
+            terms.append(reader.read_str())
             n_rows = reader.read_uvarint()
-            rows = np.empty(n_rows, dtype=np.int64)
             prev = 0
-            for i in range(n_rows):
+            for _ in range(n_rows):
                 prev += reader.read_uvarint()
-                rows[i] = prev
-            terms.append(term)
-            postings.append(rows)
-        return cls(terms, postings, row_count, tokenize)
+                rows.append(prev)
+            offsets.append(len(rows))
+        return cls(
+            terms,
+            np.array(rows, dtype=np.int64),
+            np.array(offsets, dtype=np.int64),
+            row_count,
+            tokenize,
+        )

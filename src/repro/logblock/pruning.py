@@ -31,7 +31,7 @@ from repro.common.errors import QueryError
 from repro.logblock.bkd import BkdIndex
 from repro.logblock.inverted import InvertedIndex
 from repro.logblock.reader import LogBlockReader
-from repro.logblock.schema import ColumnType, IndexType
+from repro.logblock.schema import ColumnType
 from repro.logblock.sma import Sma
 from repro.logblock.tokenizer import normalize_term, tokenize
 
@@ -247,9 +247,9 @@ def _index_rowids(
     Returns ``None`` when the predicate shape is not index-answerable,
     in which case the caller falls back to block scanning.
     """
+    if predicate.column not in reader.meta().index_sizes:
+        return None  # no index declared, or written with build_indexes=False
     spec = reader.column(predicate.column)
-    if spec.index is IndexType.NONE:
-        return None
     index = reader.read_index(predicate.column)
     row_count = reader.row_count
 
@@ -401,23 +401,6 @@ def dict_codes_block_mask(
         )
         return not_null & (codes >= low_code) & (codes <= high_code)
     return None
-
-
-def _scan_rowids(reader: LogBlockReader, predicate: ColumnPredicate) -> Bitset:
-    """Block-skipping scan (Figure 8 step 4): SMA-prune blocks, scan rest."""
-    meta = reader.meta()
-    col_idx = meta.schema.column_index(predicate.column)
-    bits = Bitset(meta.row_count)
-    base = 0
-    for block_idx, block_rows in enumerate(meta.block_row_counts):
-        header = meta.block_headers[col_idx][block_idx]
-        if predicate.may_match_sma(header.sma):
-            values = reader.read_block(predicate.column, block_idx)
-            for offset, value in enumerate(values):
-                if predicate.evaluate_value(value):
-                    bits.set(base + offset)
-        base += block_rows
-    return bits
 
 
 @dataclass

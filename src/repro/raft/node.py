@@ -362,48 +362,6 @@ class RaftNode:
             self._advance_commit_index()
         return entry.index
 
-    def propose_many(self, commands: list[bytes]) -> list[int]:
-        """Leader-only: replicate a batch of commands as consecutive entries.
-
-        The pipelined variant of :meth:`propose`: admission is
-        all-or-nothing against the sync queue (a rejection never leaves
-        a half-admitted group), the WAL write is one coalesced frame
-        flush (:meth:`WriteAheadLog.append_many`), and the whole group
-        goes out in one ``AppendEntries`` broadcast.
-        """
-        if self._stopped:
-            raise NotLeaderError("node is stopped", None)
-        if self.role is not Role.LEADER:
-            raise NotLeaderError(f"{self.node_id} is not the leader", self.leader_id)
-        if not commands:
-            return []
-        total_bytes = sum(len(command) for command in commands)
-        if not self.sync_queue.can_accept(len(commands), total_bytes):
-            self.sync_queue.stats.rejected += 1
-            self.backpressure.update()
-            raise BackpressureError(
-                f"queue {self.sync_queue.name!r} cannot admit group of "
-                f"{len(commands)} entries / {total_bytes} bytes"
-            )
-        entries = []
-        next_index = self.persistent.last_log_index() + 1
-        for offset, command in enumerate(commands):
-            entries.append(
-                LogEntry(
-                    term=self.persistent.current_term,
-                    index=next_index + offset,
-                    command=command,
-                )
-            )
-        for entry in entries:
-            self.sync_queue.push(entry)
-            self.persistent.append(entry)
-        self._persist_entries(entries)
-        self._broadcast_append_entries()
-        if not self.peers:
-            self._advance_commit_index()
-        return [entry.index for entry in entries]
-
     def throttle(self) -> float:
         """Current BFC throttle in (0, 1] — fraction of nominal rate."""
         return self.backpressure.update()

@@ -198,13 +198,16 @@ class TestBlockDifferential:
             )
 
     def test_dict_boundary_rows(self):
-        # DICT needs >= 16 rows: 15 is PLAIN (fallback), 16 is DICT.
-        for n, expect_mode in [(15, MODE_INTERPRETED), (16, MODE_VECTORIZED)]:
+        # DICT needs >= 16 rows: 15 is PLAIN, 16 is DICT; both vectorized.
+        for n, expect_dict in [(15, False), (16, True)]:
             values = [f"v{i % 4}" for i in range(n)]
             prep = prepare_column(values, ColumnType.STRING)
             payload, mode, _ = encode_block_range(prep, 0, n)
-            assert mode == expect_mode
+            assert mode == MODE_VECTORIZED
             assert payload == encode_block(values, ColumnType.STRING)
+            # decode_block_arrays answers None for PLAIN string blocks.
+            is_dict = decode_block_arrays(payload, ColumnType.STRING, n) is not None
+            assert is_dict == expect_dict
 
     def test_dict_boundary_cardinality(self):
         # Exactly 0.5 distinct/present takes DICT; one more distinct is PLAIN.
@@ -217,15 +220,17 @@ class TestBlockDifferential:
         over_half = [f"v{i}" for i in range(11)] + ["v0"] * 9
         prep = prepare_column(over_half, ColumnType.STRING)
         payload, mode, reason = encode_block_range(prep, 0, 20)
-        assert mode == MODE_INTERPRETED and reason == "plain string block"
+        assert mode == MODE_VECTORIZED and reason is None
         assert payload == encode_block(over_half, ColumnType.STRING)
+        assert decode_block_arrays(payload, ColumnType.STRING, 20) is None  # PLAIN
 
     def test_all_null_string_block_is_plain(self):
         values = [None] * 32
         prep = prepare_column(values, ColumnType.STRING)
         payload, mode, _ = encode_block_range(prep, 0, 32)
-        assert mode == MODE_INTERPRETED
+        assert mode == MODE_VECTORIZED
         assert payload == encode_block(values, ColumnType.STRING)
+        assert decode_block_arrays(payload, ColumnType.STRING, 32) is None  # PLAIN
 
     def test_large_dictionary_multibyte_codes(self):
         # > 127 distinct values forces multi-byte LEB128 codes for the
@@ -376,9 +381,10 @@ class TestWriterByteIdentity:
         assert unpack_members(got) == unpack_members(expected)
         assert got == expected
         stats = writer.encode_stats
+        # The tokenized "log" column is high-cardinality → PLAIN blocks,
+        # which the kernels encode too: nothing falls back.
         assert stats.rows_vectorized > 0
-        # The tokenized "log" column is high-cardinality → PLAIN blocks.
-        assert any("plain string block" in r for r in stats.fallbacks)
+        assert stats.rows_interpreted == 0 and stats.fallbacks == {}
 
     def test_append_columns_identical(self):
         rows = make_rows(300, seed=5)
@@ -694,7 +700,8 @@ class TestBuilderAblation:
             builder.archive_memtable(table)
             modes = obs.registry.snapshot().by_label(ENCODE_ROWS, "mode")
             assert (modes.get("vectorized", 0) > 0) == vectorized
-            assert modes.get("interpreted", 0) > 0  # plain "log" blocks
+            # PLAIN "log" blocks are vectorized too: the modes are exclusive.
+            assert (modes.get("interpreted", 0) > 0) == (not vectorized)
 
     def test_config_knob_plumbs_through(self):
         from repro.cluster.config import small_test_config

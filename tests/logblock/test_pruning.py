@@ -10,6 +10,7 @@ from repro.logblock.pruning import (
     InPredicate,
     MatchPredicate,
     NePredicate,
+    PrefixPredicate,
     PruneStats,
     RangePredicate,
     evaluate_predicates,
@@ -17,6 +18,7 @@ from repro.logblock.pruning import (
 )
 from repro.logblock.schema import request_log_schema
 from repro.logblock.tokenizer import tokenize
+from repro.logblock.writer import LogBlockWriter
 
 from tests.conftest import make_rows, write_logblock
 from tests.logblock.test_writer_reader import reader_for
@@ -179,3 +181,41 @@ def test_match_tokens_present_in_generated_logs():
     for row in rows:
         all_tokens.update(tokenize(row["log"]))
     assert {"ok", "took"} <= all_tokens
+
+
+class TestBlocksWithoutIndexes:
+    """``build_indexes=False`` blocks have no ``idx/`` members: every
+    predicate on an indexed column must fall back to the block scan and
+    answer exactly what the indexed block answers."""
+
+    PREDICATES = [
+        [EqPredicate("ip", "192.168.0.3")],
+        [InPredicate("api", ("/api/v0", "/api/v2"))],
+        [PrefixPredicate("ip", "192.168.0.")],
+        [MatchPredicate("log", "error")],
+        [MatchPredicate("log", "rid_7 took")],
+        [RangePredicate("latency", low=100, high=300)],
+        [EqPredicate("latency", 42)],
+        [InPredicate("latency", (7, 42, 250))],
+        [EqPredicate("api", "/api/v1"), RangePredicate("latency", low=250)],
+    ]
+
+    @staticmethod
+    def reader(rows, build_indexes):
+        writer = LogBlockWriter(
+            request_log_schema(), block_rows=32, build_indexes=build_indexes
+        )
+        writer.append_many(rows)
+        return reader_for(writer.finish())
+
+    def test_answers_equal_indexed_answers(self):
+        rows = make_rows(200, seed=4)
+        indexed = self.reader(rows, build_indexes=True)
+        bare = self.reader(rows, build_indexes=False)
+        assert bare.meta().index_sizes == {}
+        for predicates in self.PREDICATES:
+            stats = PruneStats()
+            got = evaluate_predicates(bare, predicates, stats=stats)
+            assert list(got) == list(evaluate_predicates(indexed, predicates))
+            assert list(got) == brute_force(rows, predicates)
+            assert stats.index_lookups == 0

@@ -17,9 +17,6 @@ from repro.cluster.controller import Controller
 from repro.common.clock import VirtualClock
 from repro.logblock.schema import request_log_schema
 from repro.meta.catalog import Catalog
-from repro.oss.costmodel import free
-from repro.oss.metered import MeteredObjectStore
-from repro.oss.store import InMemoryObjectStore
 
 THETAS = [0.0, 0.2, 0.4, 0.6, 0.8, 0.99]
 
@@ -30,7 +27,6 @@ def measure(theta: float):
     virgin = Controller(
         run.controller.config,
         Catalog(request_log_schema()),
-        MeteredObjectStore(InMemoryObjectStore(), free(), VirtualClock()),
         VirtualClock(),
     )
     before = access_stddev_series(virgin, run.traffic)

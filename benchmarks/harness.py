@@ -222,8 +222,7 @@ def run_traffic(
         monitor_interval_s=300.0,
     )
     clock = VirtualClock()
-    store = MeteredObjectStore(InMemoryObjectStore(), free(), clock)
-    controller = Controller(config, Catalog(request_log_schema()), store, clock)
+    controller = Controller(config, Catalog(request_log_schema()), clock)
     capacity = controller.topology.total_worker_capacity()
     traffic = tenant_traffic(n_tenants, theta, capacity * offered_fraction)
     simulator = IngestSimulator(controller, traffic, IngestModelParams(window_s=10.0))
@@ -234,9 +233,7 @@ def run_traffic(
 def fresh_controller_like(run: TrafficRun) -> Controller:
     """A controller with the same config but virgin routing (the
     'Before Balancing' arm of Figures 13-14)."""
-    clock = VirtualClock()
-    store = MeteredObjectStore(InMemoryObjectStore(), free(), clock)
-    return Controller(run.controller.config, Catalog(request_log_schema()), store, clock)
+    return Controller(run.controller.config, Catalog(request_log_schema()), VirtualClock())
 
 
 def emit(capsys, *lines: str) -> None:

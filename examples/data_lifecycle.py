@@ -9,6 +9,7 @@ directories:
   else's data — no compaction or rewrite needed;
 * per-tenant usage accounting (the billing quantities);
 * background compaction merging a tenant's small LogBlocks;
+* account closure: a portable export, then a verified full delete;
 * a filesystem-backed object store so you can inspect the blocks.
 
 Run:  python examples/data_lifecycle.py
@@ -76,8 +77,8 @@ def main() -> None:
 
     # -- retention sweep -----------------------------------------------------
     now_ts = base_ts + 4 * 3_600 * MICROS
-    report = store.expire_data(now_ts=now_ts)
-    print(f"\nretention sweep at t=+4h: deleted {report.blocks_deleted} blocks, "
+    report = store.sweep_expired(now_ts=now_ts)
+    print(f"\nretention sweep at t=+4h: deleted {report.blocks_expired} blocks, "
           f"reclaimed {human_bytes(report.bytes_reclaimed)}, "
           f"tenants touched: {sorted(report.tenants_touched)}")
     for tenant in (1, 2, 3):
@@ -102,14 +103,13 @@ def main() -> None:
     print(f"  tenant 2 rows after compaction: {count.rows[0]['COUNT(*)']} (unchanged)")
 
     # -- account closure -------------------------------------------------------
-    from repro.meta.expiry import ExpiryTask
-
-    purger = ExpiryTask(store.catalog, store.oss, store.config.bucket)
-    purge = purger.purge_tenant(3)
-    print(f"\npurged tenant 3 entirely: {purge.blocks_deleted} blocks, "
-          f"{human_bytes(purge.bytes_reclaimed)}")
+    offboard = store.offboard_tenant(3)
+    print(f"\noffboarded tenant 3: exported {offboard.exported_blocks} blocks "
+          f"({human_bytes(offboard.exported_bytes)}) to {offboard.export_key}, "
+          f"deleted {offboard.deleted_objects} objects, verified={offboard.verified}")
     remaining = [s.key for s in store.oss.list(store.config.bucket, "tenants/3/")]
-    print(f"  objects left under tenants/3/: {remaining}")
+    print(f"  objects left under tenants/3/: {remaining}; "
+          f"rows still queryable: {offboard.query_rows}")
 
     print(f"\n(inspect the surviving LogBlocks under {root})")
 

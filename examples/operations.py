@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Operations playbook: scale-out, node failure, checkpoint, backup.
+"""Operations playbook: scale-out, node failure, checkpoint, export/import.
 
 Walks the day-2 operations the paper's controller performs:
 
@@ -8,15 +8,14 @@ Walks the day-2 operations the paper's controller performs:
 2. a worker "fails"; its shards are re-hosted and the system keeps
    serving (§3: node recovery);
 3. a Raft-backed shard is *checkpointed*, compacting its log (§3);
-4. a tenant is *backed up* to a second object store, purged, and
-   *restored* (§3: backup/migration).
+4. a tenant is *exported* to a second object store, offboarded, and
+   *imported* back (§3: backup/migration).
 
 Run:  python examples/operations.py
 """
 
 from repro import LogStore, small_test_config
 from repro.common.clock import VirtualClock
-from repro.meta import BackupTask, Catalog
 from repro.oss import InMemoryObjectStore, MeteredObjectStore, oss_default
 from repro.workload import LogRecordGenerator, WorkloadConfig, tenant_traffic
 
@@ -78,26 +77,23 @@ def main() -> None:
           f"{log_before} -> {log_after} entries "
           f"(WAL-only replica: {shard.raft.wal_only_replicas()[0].node_id})")
 
-    # -- 4. backup / purge / restore ---------------------------------------------
+    # -- 4. export / offboard / import ------------------------------------------
+    count_sql = "SELECT COUNT(*) FROM request_log WHERE tenant_id = 2"
+    before = store.query(count_sql).rows[0]["COUNT(*)"]
     vault = MeteredObjectStore(InMemoryObjectStore(), oss_default(), VirtualClock())
-    task = BackupTask(store.catalog, store.oss, store.config.bucket)
-    backup = task.backup_tenant(2, vault, "vault")
-    print(f"\nbacked up tenant 2: {backup.blocks_copied} blocks, "
-          f"{backup.bytes_copied} bytes")
+    vault.create_bucket("vault")
+    offboarder = store.lifecycle.offboarder
+    key, n_blocks, n_bytes = offboarder.export_tenant(2, vault, "vault")
+    print(f"\nexported tenant 2 to vault/{key}: {n_blocks} blocks, {n_bytes} bytes")
 
-    from repro.meta.expiry import ExpiryTask
+    report = store.offboard_tenant(2, export=False)
+    print(f"offboarded tenant 2: verified={report.verified}, "
+          f"rows left={report.query_rows}")
 
-    ExpiryTask(store.catalog, store.oss, store.config.bucket).purge_tenant(2)
-    print("purged tenant 2 from the cluster")
-
-    store.catalog.register_tenant(2, name="restored")
-    restore = BackupTask.restore_tenant(
-        vault, "vault", 2, store.catalog, store.oss, store.config.bucket
-    )
-    print(f"restored tenant 2: {restore.blocks_copied + restore.blocks_skipped} "
-          "blocks re-registered")
-    count = store.query("SELECT COUNT(*) FROM request_log WHERE tenant_id = 2")
-    print(f"tenant 2 rows after restore: {count.rows[0]['COUNT(*)']}")
+    info = offboarder.import_tenant(2, vault, "vault")
+    after = store.query(count_sql).rows[0]["COUNT(*)"]
+    print(f"imported tenant 2: {len(info.blocks)} blocks; "
+          f"rows before={before} after={after}")
 
     # -- 5. controller restart (catalog persistence) --------------------------
     key = store.persist_catalog()

@@ -33,7 +33,6 @@ from repro.common.errors import ClusterError, WorkerNotFound
 from repro.flow.monitor import TrafficSample
 from repro.logblock.schema import TableSchema, request_log_schema
 from repro.meta.catalog import Catalog
-from repro.meta.expiry import ExpiryReport
 from repro.obs.analyze import render_explain_analyze
 from repro.obs.context import Observability
 from repro.obs.report import MetricsReport
@@ -80,7 +79,7 @@ class LogStore:
         self.oss.create_bucket(config.bucket)
 
         self.catalog = Catalog(schema)
-        self.controller = Controller(config, self.catalog, self.oss, self.clock)
+        self.controller = Controller(config, self.catalog, self.clock)
 
         builder = DataBuilder(
             schema,
@@ -589,19 +588,6 @@ class LogStore:
                 results[shard_id] = shard.checkpoint()
         return results
 
-    def expire_data(self, now_ts: int | None = None) -> ExpiryReport:
-        """Run retention-based deletion; invalidates caches for victims."""
-        if now_ts is None:
-            now_ts = int(self.clock.now() * 1_000_000)
-        victims = {
-            block.path
-            for block in ExpiryProbe(self).expired_blocks(now_ts)
-        }
-        report = self.controller.expire_data(now_ts)
-        for path in victims:
-            self.cache.invalidate_blob(self.config.bucket, path)
-        return report
-
     def _invalidate_blob(self, path: str) -> None:
         self.cache.invalidate_blob(self.config.bucket, path)
 
@@ -662,6 +648,25 @@ class LogStore:
         report.verified = report.verified and report.query_rows == 0
         return report
 
+    def migrate_tenant(self, tenant_id: int, destination: LogStore):
+        """Move one tenant to another cluster: export its pack into the
+        destination's bucket, import it there, then run a verified
+        :meth:`offboard_tenant` (without a second export) here.
+
+        Cold-tier blocks arrive as hot blocks; answers are identical.
+        Returns the source's offboard report with the export filled in.
+        """
+        self.flush_all()
+        key, n_blocks, n_bytes = self.lifecycle.offboarder.export_tenant(
+            tenant_id, destination.oss, destination.config.bucket
+        )
+        destination.lifecycle.offboarder.import_tenant(tenant_id)
+        report = self.offboard_tenant(tenant_id, export=False)
+        report.export_key = key
+        report.exported_blocks = n_blocks
+        report.exported_bytes = n_bytes
+        return report
+
     def rebalance(self, tenant_traffic: dict[int, float]):
         """Run one hotspot-manager iteration for the offered traffic."""
         sample = self.controller.collect_sample(tenant_traffic)
@@ -678,15 +683,3 @@ class LogStore:
     def pending_rows(self) -> int:
         return sum(worker.pending_rows() for worker in self.workers.values())
 
-
-class ExpiryProbe:
-    """Read-only view of what expiry would delete (for cache invalidation)."""
-
-    def __init__(self, store: LogStore) -> None:
-        self._store = store
-
-    def expired_blocks(self, now_ts: int):
-        from repro.meta.expiry import ExpiryTask
-
-        task = ExpiryTask(self._store.catalog, self._store.oss, self._store.config.bucket)
-        return task.expired_blocks(now_ts)

@@ -5,7 +5,8 @@ A departing tenant gets two guarantees:
 * **Portability** — every LogBlock (hot object or cold-segment member)
   is copied, byte-for-byte, into one tar-packed archive under
   ``_export/``, alongside a JSON manifest of the tenant's catalog
-  state.  The members are self-contained LogBlocks, so the archive is
+  state (the catalog snapshot's tenant codec plus a ``member`` name per
+  block).  The members are self-contained LogBlocks, so the archive is
   readable with nothing but :mod:`repro.tarpack` + :mod:`repro.logblock`.
 * **Proof of deletion** — after the delete, verification re-checks the
   three places data could hide: the catalog (tenant unregistered), the
@@ -15,6 +16,12 @@ A departing tenant gets two guarantees:
 
 Offboarding is idempotent: re-running after a mid-delete crash (or
 against an already-gone tenant) re-deletes what remains and re-verifies.
+
+The same two steps are the whole tenant-copy story (§3 "backup,
+migration"): a backup is an export into another store without the
+delete, a restore is :meth:`TenantOffboarder.import_tenant` of that
+pack, and a migration is export to the destination, import there, then
+a verified ``offboard(export=False)`` at the source.
 """
 
 from __future__ import annotations
@@ -22,10 +29,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.common.errors import NoSuchKey, TenantNotFound
-from repro.meta.catalog import Catalog
+from repro.common.errors import (
+    CatalogError,
+    NoSuchKey,
+    ObjectAlreadyExists,
+    TenantNotFound,
+)
+from repro.meta.catalog import Catalog, TenantInfo
+from repro.meta.persistence import block_from_json, tenant_from_json, tenant_to_json
 from repro.obs.context import Observability
 from repro.tarpack.packer import PackBuilder
+from repro.tarpack.reader import PackReader
 
 EVENT_LIFECYCLE_OFFBOARD = "lifecycle.offboard"
 
@@ -79,27 +93,26 @@ class TenantOffboarder:
             "Bytes written to offboarding archives.",
         )
 
-    # -- export ------------------------------------------------------------
+    # -- export / import ---------------------------------------------------
 
-    def export_tenant(self, tenant_id: int) -> tuple[str, int, int]:
+    def export_tenant(
+        self, tenant_id: int, store=None, bucket: str | None = None
+    ) -> tuple[str, int, int]:
         """Pack the tenant's blocks + catalog manifest into ``_export/``.
 
+        The pack lands in ``store``/``bucket`` (default: this cluster's
+        own; the bucket must exist), so a backup is an export to another
+        store that skips the delete.  Re-exporting replaces the pack.
         Returns ``(key, n_blocks, archive_bytes)``.  Reading data back
-        is inherent to export — this is the one lifecycle operation
-        that legitimately performs GETs.
+        is inherent to export — with import, the only lifecycle
+        operations that legitimately perform GETs.
         """
-        info = self._catalog.tenant(tenant_id)
-        blocks = list(info.blocks)
+        store = self._store if store is None else store
+        bucket = self._bucket if bucket is None else bucket
+        manifest = tenant_to_json(self._catalog.tenant(tenant_id))
         builder = PackBuilder()
-        manifest = {
-            "tenant_id": info.tenant_id,
-            "name": info.name,
-            "retention_s": info.retention_s,
-            "cold_age_s": info.cold_age_s,
-            "created_at": info.created_at,
-            "blocks": [],
-        }
-        for i, block in enumerate(blocks):
+        for i, entry in enumerate(manifest["blocks"]):
+            block = block_from_json(tenant_id, entry)
             member = f"block-{i:06d}.lgb"
             if block.segment_path is None:
                 blob = self._store.get(self._bucket, block.path)
@@ -111,32 +124,77 @@ class TenantOffboarder:
                     block.segment_length,
                 )
             builder.add(member, blob)
-            manifest["blocks"].append(
-                {
-                    "member": member,
-                    "path": block.path,
-                    "tier": block.tier,
-                    "min_ts": block.min_ts,
-                    "max_ts": block.max_ts,
-                    "row_count": block.row_count,
-                    "size_bytes": block.size_bytes,
-                }
-            )
+            entry["member"] = member
         builder.add(
             EXPORT_MANIFEST_MEMBER,
             json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8"),
         )
         archive = builder.build()
         key = export_path(tenant_id)
-        self._store.put(self._bucket, key, archive)
+        try:
+            store.put(bucket, key, archive)
+        except ObjectAlreadyExists:
+            store.delete(bucket, key)
+            store.put(bucket, key, archive)
         self._exported_bytes_total.add(len(archive))
         self._obs.journal.emit(
             EVENT_LIFECYCLE_OFFBOARD,
             f"tenant{tenant_id}",
-            detail=f"export blocks={len(blocks)} bytes={len(archive)} key={key}",
+            detail=f"export blocks={len(manifest['blocks'])} bytes={len(archive)} key={key}",
             tenant_id=tenant_id,
         )
-        return key, len(blocks), len(archive)
+        return key, len(manifest["blocks"]), len(archive)
+
+    def import_tenant(
+        self, tenant_id: int, store=None, bucket: str | None = None
+    ) -> TenantInfo:
+        """Restore an :meth:`export_tenant` pack into this cluster.
+
+        Every member — hot object or cold-segment member at export —
+        becomes a hot ``.lgb`` under ``tenants/<id>/``; the tenant is
+        registered with its exported policy only after all uploads, so
+        a failed import leaves the catalog untouched (an offboard clears
+        its partial uploads before a retry).  Refuses a tenant that is
+        already registered here.
+        """
+        store = self._store if store is None else store
+        bucket = self._bucket if bucket is None else bucket
+        try:
+            self._catalog.tenant(tenant_id)
+        except TenantNotFound:
+            pass
+        else:
+            raise CatalogError(
+                f"tenant {tenant_id} already registered; offboard before importing"
+            )
+        pack = PackReader(store, bucket, export_path(tenant_id))
+        manifest = json.loads(pack.read_member(EXPORT_MANIFEST_MEMBER))
+        if manifest["tenant_id"] != tenant_id:
+            raise CatalogError(
+                f"export pack is for tenant {manifest['tenant_id']}, not {tenant_id}"
+            )
+        hot_blocks = []
+        for block in manifest["blocks"]:
+            blob = pack.read_member(block["member"])
+            path = f"tenants/{tenant_id}/{block['member']}"
+            self._store.put(self._bucket, path, blob)
+            hot_blocks.append(
+                {
+                    "min_ts": block["min_ts"],
+                    "max_ts": block["max_ts"],
+                    "path": path,
+                    "size_bytes": len(blob),
+                    "row_count": block["row_count"],
+                }
+            )
+        info = tenant_from_json(self._catalog, {**manifest, "blocks": hot_blocks})
+        self._obs.journal.emit(
+            EVENT_LIFECYCLE_OFFBOARD,
+            f"tenant{tenant_id}",
+            detail=f"import blocks={len(hot_blocks)} key={export_path(tenant_id)}",
+            tenant_id=tenant_id,
+        )
+        return info
 
     # -- delete + verify ---------------------------------------------------
 

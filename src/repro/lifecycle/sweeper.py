@@ -122,10 +122,6 @@ class ExpirySweeper:
 
     # -- expiry ------------------------------------------------------------
 
-    def expired_candidates(self, now_ts: int):
-        """Expired entries + entries-examined bound (catalog bisect)."""
-        return self._catalog.expired_candidates(now_ts)
-
     def sweep(self, now_ts: int) -> SweepReport:
         """One expiry pass: catalog removals + object DELETEs, no GETs.
 

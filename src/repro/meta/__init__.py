@@ -1,23 +1,1 @@
-"""Controller metadata: tenant catalog, LogBlock map, expiry and backup."""
-
-from repro.meta.backup import BackupReport, BackupTask
-from repro.meta.catalog import Catalog, LogBlockEntry, TenantInfo
-from repro.meta.expiry import ExpiryReport, ExpiryTask
-from repro.meta.persistence import (
-    load_catalog_into,
-    rebuild_catalog_from_store,
-    save_catalog,
-)
-
-__all__ = [
-    "BackupReport",
-    "BackupTask",
-    "Catalog",
-    "LogBlockEntry",
-    "TenantInfo",
-    "ExpiryReport",
-    "ExpiryTask",
-    "load_catalog_into",
-    "rebuild_catalog_from_store",
-    "save_catalog",
-]
+"""Controller metadata: tenant catalog, LogBlock map and its persistence."""

@@ -8,6 +8,9 @@ survive controller restarts.  Two mechanisms:
   immutable, so each save is a new sequence number; old snapshots are
   pruned).  :func:`load_catalog_into` restores the newest snapshot into
   a live catalog.
+  The per-tenant codec (:func:`tenant_to_json` / :func:`tenant_from_json`)
+  is shared with tenant export packs (:mod:`repro.lifecycle.offboard`),
+  so there is one JSON shape for a catalog entry.
 * **Rebuild by scan** — :func:`rebuild_catalog_from_store` reconstructs
   the LogBlock map with no snapshot at all, by listing the tenant
   directories and reading each block's self-contained meta; the §3.2
@@ -23,7 +26,7 @@ import re
 from repro.common.errors import CatalogError
 from repro.logblock.reader import LogBlockReader
 from repro.logblock.schema import ColumnSpec, ColumnType, IndexType, TableSchema
-from repro.meta.catalog import TIER_COLD, TIER_HOT, Catalog, LogBlockEntry
+from repro.meta.catalog import TIER_COLD, TIER_HOT, Catalog, LogBlockEntry, TenantInfo
 from repro.tarpack.reader import PackReader
 
 SNAPSHOT_PREFIX = "_meta/catalog/"
@@ -62,7 +65,8 @@ def _schema_from_json(payload: dict) -> TableSchema:
     return TableSchema(payload["name"], columns)
 
 
-def _block_to_json(b: LogBlockEntry) -> dict:
+def block_to_json(b: LogBlockEntry) -> dict:
+    """One LogBlock-map entry as JSON (the snapshot and export codec)."""
     payload = {
         "min_ts": b.min_ts,
         "max_ts": b.max_ts,
@@ -80,27 +84,63 @@ def _block_to_json(b: LogBlockEntry) -> dict:
     return payload
 
 
+def block_from_json(tenant_id: int, block: dict) -> LogBlockEntry:
+    """Inverse of :func:`block_to_json`."""
+    return LogBlockEntry(
+        tenant_id=tenant_id,
+        min_ts=block["min_ts"],
+        max_ts=block["max_ts"],
+        path=block["path"],
+        size_bytes=block["size_bytes"],
+        row_count=block["row_count"],
+        tier=block.get("tier", TIER_HOT),
+        segment_path=block.get("segment_path"),
+        segment_offset=block.get("segment_offset", 0),
+        segment_length=block.get("segment_length", 0),
+    )
+
+
+def tenant_to_json(info: TenantInfo) -> dict:
+    """One tenant — policy, bookkeeping and LogBlock map — as JSON."""
+    tenant = {
+        "tenant_id": info.tenant_id,
+        "name": info.name,
+        "retention_s": info.retention_s,
+        "created_at": info.created_at,
+        "blocks": [block_to_json(b) for b in info.blocks],
+    }
+    if info.cold_age_s is not None:
+        tenant["cold_age_s"] = info.cold_age_s
+    if info.expired_blocks_total:
+        tenant["expired_blocks_total"] = info.expired_blocks_total
+    return tenant
+
+
+def tenant_from_json(catalog: Catalog, tenant: dict) -> TenantInfo:
+    """Register a :func:`tenant_to_json` tenant and its blocks."""
+    info = catalog.register_tenant(
+        tenant["tenant_id"],
+        name=tenant["name"],
+        retention_s=tenant["retention_s"],
+        created_at=tenant["created_at"],
+    )
+    info.cold_age_s = tenant.get("cold_age_s")
+    info.expired_blocks_total = tenant.get("expired_blocks_total", 0)
+    for block in tenant["blocks"]:
+        catalog.add_block(block_from_json(info.tenant_id, block))
+    return info
+
+
 def serialize_catalog(catalog: Catalog) -> bytes:
     """The catalog as a JSON snapshot."""
-    tenants = []
-    for info in sorted(catalog.tenants(), key=lambda t: t.tenant_id):
-        tenant = {
-            "tenant_id": info.tenant_id,
-            "name": info.name,
-            "retention_s": info.retention_s,
-            "created_at": info.created_at,
-            "blocks": [_block_to_json(b) for b in info.blocks],
-        }
-        if info.cold_age_s is not None:
-            tenant["cold_age_s"] = info.cold_age_s
-        if info.expired_blocks_total:
-            tenant["expired_blocks_total"] = info.expired_blocks_total
-        tenants.append(tenant)
     payload = {
         "version": SNAPSHOT_VERSION,
         "schema": _schema_to_json(catalog.schema),
         "schema_version": catalog.schema_version,
-        "tenants": tenants,
+        "tenants": [
+            tenant_to_json(info)
+            for info in sorted(catalog.tenants(), key=lambda t: t.tenant_id)
+        ],
     }
     return json.dumps(payload, indent=1).encode("utf-8")
 
@@ -117,29 +157,7 @@ def restore_catalog(catalog: Catalog, data: bytes) -> None:
     catalog._schema = _schema_from_json(payload["schema"])
     catalog._schema_version = payload["schema_version"]
     for tenant in payload["tenants"]:
-        info = catalog.register_tenant(
-            tenant["tenant_id"],
-            name=tenant["name"],
-            retention_s=tenant["retention_s"],
-            created_at=tenant["created_at"],
-        )
-        info.cold_age_s = tenant.get("cold_age_s")
-        info.expired_blocks_total = tenant.get("expired_blocks_total", 0)
-        for block in tenant["blocks"]:
-            catalog.add_block(
-                LogBlockEntry(
-                    tenant_id=tenant["tenant_id"],
-                    min_ts=block["min_ts"],
-                    max_ts=block["max_ts"],
-                    path=block["path"],
-                    size_bytes=block["size_bytes"],
-                    row_count=block["row_count"],
-                    tier=block.get("tier", TIER_HOT),
-                    segment_path=block.get("segment_path"),
-                    segment_offset=block.get("segment_offset", 0),
-                    segment_length=block.get("segment_length", 0),
-                )
-            )
+        tenant_from_json(catalog, tenant)
 
 
 def _snapshot_key(sequence: int) -> str:

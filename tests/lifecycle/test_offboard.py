@@ -26,16 +26,17 @@ def store():
 
 class TestOffboard:
     def test_verified_full_delete(self, store):
-        blocks_before = len(store.catalog.tenant(1).blocks)
+        paths = [block.path for block in store.catalog.tenant(1).blocks]
         report = store.offboard_tenant(1)
         assert report.verified
-        assert report.exported_blocks == blocks_before
-        assert report.deleted_objects >= blocks_before
+        assert report.exported_blocks == len(paths)
+        assert report.deleted_objects >= len(paths)
         assert report.residue == []
         # The three proofs: catalog, OSS listing, live query.
         assert 1 not in {t.tenant_id for t in store.catalog.tenants()}
-        stored = [s.key for s in store.oss.list(store.config.bucket, "tenants/000001/")]
+        stored = [s.key for s in store.oss.list(store.config.bucket, "tenants/1/")]
         assert stored == []
+        assert not any(store.oss.exists(store.config.bucket, path) for path in paths)
         assert report.query_rows == 0
 
     def test_export_archive_is_portable(self, store):

@@ -6,7 +6,7 @@ from repro.builder.builder import DataBuilder
 from repro.builder.compaction import Compactor
 from repro.lifecycle.cold import ColdCompactor
 from repro.lifecycle.sweeper import ExpirySweeper
-from repro.meta.catalog import TIER_COLD, Catalog
+from repro.meta.catalog import TIER_COLD, Catalog, LogBlockEntry
 from repro.obs.context import Observability
 from repro.rowstore.memtable import MemTable
 
@@ -53,6 +53,7 @@ class TestZeroReadExpiry:
         archive(schema, free_store, catalog, 1, 256, BASE_TS)
         n_blocks = len(catalog.tenant(1).blocks)
         assert n_blocks > 1
+        stored_bytes = catalog.tenant(1).total_bytes
         catalog.set_retention(1, 3_600.0)
 
         sweeper = ExpirySweeper(catalog, free_store, BUCKET)
@@ -61,7 +62,7 @@ class TestZeroReadExpiry:
         after = free_store.stats.snapshot()
 
         assert report.blocks_expired == n_blocks
-        assert report.bytes_reclaimed > 0
+        assert report.bytes_reclaimed == stored_bytes
         # The defining property: expiry is metadata-only on the read
         # side — not one OSS GET, not one decoded byte.
         assert after.get_requests == before.get_requests
@@ -96,6 +97,92 @@ class TestZeroReadExpiry:
         assert again.blocks_expired == 0
         assert again.entries_examined == 0
 
+    def test_missing_object_counts_as_deleted(self, free_store, schema):
+        """NoSuchKey is success: an object already gone (a healed retry,
+        an operator's manual delete) still expires its entry and queues
+        no orphan."""
+        catalog = Catalog(schema)
+        catalog.register_tenant(1)
+        archive(schema, free_store, catalog, 1, 64, BASE_TS, target_rows=64)
+        catalog.set_retention(1, 3_600.0)
+        (entry,) = catalog.tenant(1).blocks
+        free_store.delete(BUCKET, entry.path)
+        sweeper = ExpirySweeper(catalog, free_store, BUCKET)
+        report = sweeper.sweep(BASE_TS + 64 * MICROS + 2 * HOUR_US)
+        assert report.blocks_expired == 1
+        assert catalog.tenant(1).blocks == []
+        assert sweeper.orphans == []
+
+    def test_other_tenants_untouched(self, free_store, schema):
+        """Per-tenant independence, the multi-tenant layout's point:
+        one tenant's TTL never touches another tenant's entries or
+        objects, however old their rows are."""
+        catalog = Catalog(schema)
+        for tenant_id in (1, 2):
+            catalog.register_tenant(tenant_id)
+            archive(schema, free_store, catalog, tenant_id, 128, BASE_TS)
+        catalog.set_retention(1, 3_600.0)
+        kept = {entry.path for entry in catalog.tenant(2).blocks}
+        sweeper = ExpirySweeper(catalog, free_store, BUCKET)
+        report = sweeper.sweep(BASE_TS + 128 * MICROS + 2 * HOUR_US)
+        assert report.tenants_touched == {1}
+        assert catalog.tenant(1).blocks == []
+        assert {entry.path for entry in catalog.tenant(2).blocks} == kept
+        assert {stat.key for stat in free_store.list(BUCKET, "tenants/")} == kept
+
+
+def place_block(catalog, store, tenant_id, min_ts, max_ts, path):
+    """A hand-placed catalog entry over a 7-byte object: the exact
+    ``max_ts`` lets a test pin the retention boundary precisely."""
+    store.put(BUCKET, path, b"payload")
+    catalog.add_block(
+        LogBlockEntry(
+            tenant_id=tenant_id,
+            min_ts=min_ts,
+            max_ts=max_ts,
+            path=path,
+            size_bytes=7,
+            row_count=1,
+        )
+    )
+
+
+class TestExpiryBoundary:
+    def test_expired_blocks_selection(self, free_store, schema):
+        """A block expires only when its newest row predates the cutoff;
+        one whose rows straddle it stays, object and entry."""
+        catalog = Catalog(schema)
+        catalog.register_tenant(1, retention_s=100)
+        place_block(catalog, free_store, 1, 0, 50 * MICROS, "old")
+        place_block(catalog, free_store, 1, 0, 500 * MICROS, "new")
+        report = ExpirySweeper(catalog, free_store, BUCKET).sweep(200 * MICROS)
+        assert report.blocks_expired == 1
+        assert [entry.path for entry in catalog.tenant(1).blocks] == ["new"]
+        assert not free_store.exists(BUCKET, "old")
+        assert free_store.exists(BUCKET, "new")
+
+    def test_no_retention_never_expires(self, free_store, schema):
+        catalog = Catalog(schema)
+        catalog.register_tenant(1, retention_s=None)
+        place_block(catalog, free_store, 1, 0, 1, "forever")
+        report = ExpirySweeper(catalog, free_store, BUCKET).sweep(10**18)
+        assert report.blocks_expired == 0
+        assert report.entries_examined == 0
+        assert free_store.exists(BUCKET, "forever")
+        assert len(catalog.tenant(1).blocks) == 1
+
+    def test_run_deletes_from_oss_and_catalog(self, free_store, schema):
+        catalog = Catalog(schema)
+        catalog.register_tenant(1, retention_s=10)
+        place_block(catalog, free_store, 1, 0, 0, "victim")
+        report = ExpirySweeper(catalog, free_store, BUCKET).sweep(100 * MICROS)
+        assert report.blocks_expired == 1
+        assert report.bytes_reclaimed == 7
+        assert report.tenants_touched == {1}
+        assert not free_store.exists(BUCKET, "victim")
+        assert catalog.tenant(1).blocks == []
+        assert catalog.tenant(1).expired_blocks_total == 1
+
 
 class TestScanCostBound:
     def test_examined_entries_match_expired_count(self, free_store, schema):
@@ -117,7 +204,11 @@ class TestScanCostBound:
         now_ts = BASE_TS + 160 * MICROS + HOUR_US
         candidates, examined = catalog.expired_candidates(now_ts)
         assert 0 < len(candidates) <= 5
-        assert all(entry.tenant_id == 1 for entry in candidates)
+        # Exactly the blocks whose newest row predates the cutoff.
+        cutoff = now_ts - HOUR_US
+        assert candidates == [
+            entry for entry in catalog.tenant(1).blocks_by_age if entry.max_ts < cutoff
+        ]
         # The bisect examines exactly the expired prefix — the other
         # 100+ catalog entries are never touched.
         assert examined == len(candidates)
@@ -132,8 +223,13 @@ class TestScanCostBound:
         catalog = Catalog(schema)
         catalog.register_tenant(1)
         archive(schema, free_store, catalog, 1, 256, BASE_TS)
+        blocks = list(catalog.tenant(1).blocks)
         _candidates, examined = catalog.expired_candidates(BASE_TS + 100 * HOUR_US)
         assert examined == 0
+        # No TTL means keep forever, at any clock.
+        report = ExpirySweeper(catalog, free_store, BUCKET).sweep(10**18)
+        assert report.blocks_expired == 0
+        assert catalog.tenant(1).blocks == blocks
 
 
 class TestOrphanSweeping:

@@ -35,15 +35,19 @@ class Bitset:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def from_indices(cls, size: int, indices: Iterable[int]) -> "Bitset":
+    def from_indices(cls, size: int, indices: np.ndarray | Iterable[int]) -> "Bitset":
         """Build a bitset with the given positions set."""
-        bits = cls(size)
-        idx = np.fromiter(indices, dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= size:
-                raise IndexError("bit index out of range")
-            np.bitwise_or.at(bits._words, idx // 8, np.uint8(1) << (idx % 8).astype(np.uint8))
-        return bits
+        if isinstance(indices, np.ndarray):
+            idx = indices
+        else:
+            idx = np.fromiter(indices, dtype=np.int64)
+        if not idx.size:
+            return cls(size)
+        if idx.min() < 0 or idx.max() >= size:
+            raise IndexError("bit index out of range")
+        mask = np.zeros(size, dtype=bool)
+        mask[idx] = True
+        return cls.from_bool_array(mask)
 
     @classmethod
     def full(cls, size: int) -> "Bitset":

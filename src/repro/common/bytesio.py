@@ -97,7 +97,11 @@ class BinaryReader:
         return struct.unpack(fmt, self.read_bytes(size))[0]
 
     def read_u8(self) -> int:
-        return self._unpack("<B", 1)
+        pos = self._pos
+        if pos < len(self._data):
+            self._pos = pos + 1
+            return self._data[pos]
+        return self._unpack("<B", 1)  # raises the overrun error
 
     def read_u16(self) -> int:
         return self._unpack("<H", 2)
@@ -115,7 +119,11 @@ class BinaryReader:
         return self._unpack("<d", 8)
 
     def read_uvarint(self) -> int:
-        value, self._pos = decode_uvarint(self._data, self._pos)
+        data, pos = self._data, self._pos
+        if pos < len(data) and data[pos] < 0x80:
+            self._pos = pos + 1
+            return data[pos]
+        value, self._pos = decode_uvarint(data, pos)
         return value
 
     def read_len_prefixed(self) -> bytes:
@@ -123,4 +131,10 @@ class BinaryReader:
         return self.read_bytes(length)
 
     def read_str(self) -> str:
-        return self.read_len_prefixed().decode("utf-8")
+        data, pos = self._data, self._pos
+        if pos < len(data) and data[pos] < 0x80:
+            end = pos + 1 + data[pos]
+            if end <= len(data):
+                self._pos = end
+                return data[pos + 1 : end].decode("utf-8")
+        return self.read_len_prefixed().decode("utf-8")  # long, or raises

@@ -1,4 +1,4 @@
-"""LEB128 variable-length integers and zigzag encoding.
+"""LEB128 variable-length integers.
 
 LogBlock column blocks store row counts, offsets and deltas as varints to
 keep the metadata sections compact, mirroring what ORC/Parquet-style
@@ -46,42 +46,3 @@ def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
             return result, pos
         shift += 7
     raise SerializationError("uvarint longer than 10 bytes")
-
-
-def zigzag_encode(value: int) -> int:
-    """Map a signed integer to an unsigned one with small magnitudes small."""
-    return (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1
-
-
-def zigzag_decode(value: int) -> int:
-    """Inverse of :func:`zigzag_encode`."""
-    return (value >> 1) ^ -(value & 1)
-
-
-def encode_svarint(value: int) -> bytes:
-    """Encode a signed integer via zigzag + unsigned LEB128."""
-    return encode_uvarint(zigzag_encode(value))
-
-
-def decode_svarint(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Decode a signed integer encoded by :func:`encode_svarint`."""
-    raw, pos = decode_uvarint(data, offset)
-    return zigzag_decode(raw), pos
-
-
-def encode_uvarint_list(values: list[int]) -> bytes:
-    """Encode a length-prefixed list of unsigned varints."""
-    out = bytearray(encode_uvarint(len(values)))
-    for value in values:
-        out += encode_uvarint(value)
-    return bytes(out)
-
-
-def decode_uvarint_list(data: bytes, offset: int = 0) -> tuple[list[int], int]:
-    """Decode a list written by :func:`encode_uvarint_list`."""
-    count, pos = decode_uvarint(data, offset)
-    values = []
-    for _ in range(count):
-        value, pos = decode_uvarint(data, pos)
-        values.append(value)
-    return values, pos

@@ -163,7 +163,7 @@ class BkdIndex:
 
     def range_bitset(self, low=None, high=None, low_inclusive=True, high_inclusive=True) -> Bitset:
         rows = self.range_rows(low, high, low_inclusive, high_inclusive)
-        return Bitset.from_indices(self._row_count, rows.tolist())
+        return Bitset.from_indices(self._row_count, rows)
 
     # -- serialization -----------------------------------------------------
 

@@ -23,14 +23,14 @@ import numpy as np
 from repro.common.bitset import Bitset
 from repro.common.bytesio import BinaryReader, BinaryWriter
 from repro.common.errors import SerializationError
+from repro.common.varint import decode_uvarint
+from repro.logblock.encode_kernels import (
+    _DICT_MAX_CARDINALITY_FRACTION,
+    _STRING_DICT,
+    _STRING_PLAIN,
+    uvarint_decode_stream,
+)
 from repro.logblock.schema import ColumnType
-
-_STRING_PLAIN = 0
-_STRING_DICT = 1
-
-# Use dictionary encoding when distinct values are at most this fraction
-# of the row count (and the block is non-trivial).
-_DICT_MAX_CARDINALITY_FRACTION = 0.5
 
 
 def encode_block(values: list, ctype: ColumnType) -> bytes:
@@ -65,17 +65,27 @@ def decode_block(data: bytes, ctype: ColumnType, row_count: int) -> list:
     null_mask = nulls.to_bool_array()
     if ctype in (ColumnType.INT64, ColumnType.TIMESTAMP):
         vector = np.frombuffer(reader.read_bytes(row_count * 8), dtype=np.int64)
-        return [None if null_mask[i] else int(vector[i]) for i in range(row_count)]
+        return _with_nulls(vector.tolist(), null_mask)
     if ctype is ColumnType.FLOAT64:
         vector = np.frombuffer(reader.read_bytes(row_count * 8), dtype=np.float64)
-        return [None if null_mask[i] else float(vector[i]) for i in range(row_count)]
+        return _with_nulls(vector.tolist(), null_mask)
     if ctype is ColumnType.BOOL:
         bits = Bitset.from_bytes(reader.read_len_prefixed())
-        mask = bits.to_bool_array()
-        return [None if null_mask[i] else bool(mask[i]) for i in range(row_count)]
+        if len(bits) != row_count:
+            raise SerializationError(
+                f"value bitset size {len(bits)} does not match row count {row_count}"
+            )
+        return _with_nulls(bits.to_bool_array().tolist(), null_mask)
     if ctype is ColumnType.STRING:
         return _decode_strings(reader, null_mask, row_count)
     raise SerializationError(f"unsupported column type {ctype}")
+
+
+def _with_nulls(values: list, null_mask: np.ndarray) -> list:
+    """``values`` with ``None`` at every null row."""
+    for i in np.flatnonzero(null_mask).tolist():
+        values[i] = None
+    return values
 
 
 def decode_block_arrays(
@@ -112,16 +122,7 @@ def decode_block_arrays(
     if ctype is ColumnType.STRING:
         if reader.read_u8() != _STRING_DICT:
             return None
-        dict_size = reader.read_uvarint()
-        dictionary = [reader.read_str() for _ in range(dict_size)]
-        if dict_size < 0x80:
-            # Every code (≤ dict_size) fits one LEB128 byte: bulk-read.
-            raw = reader.read_bytes(row_count)
-            codes = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-        else:
-            codes = np.empty(row_count, dtype=np.int64)
-            for i in range(row_count):
-                codes[i] = reader.read_uvarint()
+        dictionary, codes = _read_dict(reader, row_count)
         return codes, dictionary, null_mask
     return None
 
@@ -150,23 +151,49 @@ def _encode_strings(writer: BinaryWriter, values: list) -> None:
             writer.write_str("" if value is None else value)
 
 
+def _read_dict(reader: BinaryReader, row_count: int) -> tuple[list[str], np.ndarray]:
+    """A DICT block's dictionary and its ``row_count`` codes (0 = null)."""
+    dict_size = reader.read_uvarint()
+    dictionary = [reader.read_str() for _ in range(dict_size)]
+    if not row_count:
+        return dictionary, np.empty(0, dtype=np.int64)
+    rest = np.frombuffer(reader.read_bytes(reader.remaining()), dtype=np.uint8)
+    # The codes end at the row_count-th byte without a continuation bit.
+    stops = np.flatnonzero(rest < 0x80)
+    if stops.size < row_count:
+        raise SerializationError("truncated uvarint")
+    codes = uvarint_decode_stream(rest[: stops[row_count - 1] + 1])
+    top = int(codes.max())
+    if top > dict_size:
+        raise SerializationError(f"dictionary code {top} past a dictionary of {dict_size}")
+    return dictionary, codes
+
+
 def _decode_strings(reader: BinaryReader, null_mask: np.ndarray, row_count: int) -> list:
     encoding = reader.read_u8()
     if encoding == _STRING_DICT:
-        dict_size = reader.read_uvarint()
-        dictionary = [reader.read_str() for _ in range(dict_size)]
-        out: list = []
-        for i in range(row_count):
-            code = reader.read_uvarint()
-            if code == 0 or null_mask[i]:
-                out.append(None)
-            else:
-                out.append(dictionary[code - 1])
-        return out
+        dictionary, codes = _read_dict(reader, row_count)
+        lookup = np.empty(len(dictionary) + 1, dtype=object)
+        lookup[1:] = dictionary  # lookup[0] stays None: code 0 is null
+        return _with_nulls(lookup[codes].tolist(), null_mask)
     if encoding == _STRING_PLAIN:
+        data = reader.read_bytes(reader.remaining())
+        end_of_data = len(data)
         out = []
-        for i in range(row_count):
-            text = reader.read_str()  # nulls were written as "" placeholders
-            out.append(None if null_mask[i] else text)
-        return out
+        append = out.append
+        pos = 0
+        for _ in range(row_count):
+            if pos < end_of_data and data[pos] < 0x80:
+                end = pos + 1 + data[pos]
+                pos += 1
+            else:
+                length, pos = decode_uvarint(data, pos)
+                end = pos + length
+            if end > end_of_data:
+                raise SerializationError(
+                    f"read of {end - pos} bytes at {pos} overruns buffer of {end_of_data}"
+                )
+            append(data[pos:end].decode("utf-8"))
+            pos = end
+        return _with_nulls(out, null_mask)  # nulls were written as "" placeholders
     raise SerializationError(f"unknown string encoding {encoding}")

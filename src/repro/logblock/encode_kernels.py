@@ -34,13 +34,19 @@ import numpy as np
 
 from repro.common.bitset import Bitset
 from repro.common.bytesio import BinaryWriter
-from repro.logblock.column import (
-    _DICT_MAX_CARDINALITY_FRACTION,
-    _STRING_DICT,
-    _STRING_PLAIN,
-)
+from repro.common.errors import SerializationError
+from repro.common.varint import _MAX_VARINT_BYTES
 from repro.logblock.schema import ColumnType
 from repro.logblock.sma import Sma, compute_sma, compute_sma_arrays
+
+# STRING column block encodings (shared with repro.logblock.column,
+# which imports the stream decoder from here).
+_STRING_PLAIN = 0
+_STRING_DICT = 1
+
+# Use dictionary encoding when distinct values are at most this fraction
+# of the row count (and the block is non-trivial).
+_DICT_MAX_CARDINALITY_FRACTION = 0.5
 
 MODE_VECTORIZED = "vectorized"
 MODE_INTERPRETED = "interpreted"
@@ -127,6 +133,42 @@ def encode_uvarint_array(values: np.ndarray) -> bytes:
     """LEB128-encode a vector of unsigned ints, byte-identical to a
     per-value :meth:`BinaryWriter.write_uvarint` loop."""
     return uvarint_stream(values)[0].tobytes()
+
+
+def uvarint_decode_stream(data: np.ndarray) -> np.ndarray:
+    """Every LEB128 value of the uint8 buffer ``data`` (back to back), as int64.
+
+    The inverse of :func:`uvarint_stream`.  Raises
+    :class:`SerializationError` where a :func:`decode_uvarint` walk
+    would (a truncated last value, a value longer than 10 bytes) and
+    for a value that does not fit int64.
+    """
+    if not data.size:
+        return np.empty(0, dtype=np.int64)
+    # A value ends at each byte without the continuation bit.
+    stops = np.flatnonzero(data < 0x80)
+    if not stops.size or stops[-1] != data.size - 1:
+        raise SerializationError("truncated uvarint")
+    if stops.size == data.size:
+        return data.astype(np.int64)
+    starts = np.empty_like(stops)
+    starts[0] = 0
+    starts[1:] = stops[:-1] + 1
+    n_bytes = stops - starts + 1
+    longest = int(n_bytes.max())
+    if longest > _MAX_VARINT_BYTES:
+        raise SerializationError(f"uvarint longer than {_MAX_VARINT_BYTES} bytes")
+    # Nine 7-bit groups hold 63 bits; any payload in a tenth byte is >= 2**63.
+    if longest == _MAX_VARINT_BYTES and data[stops[n_bytes == _MAX_VARINT_BYTES]].any():
+        raise SerializationError("uvarint does not fit int64")
+    values = (data[starts] & 0x7F).astype(np.uint64)
+    # Add byte k of every value that has one, for k = 1 .. longest - 1.
+    more = np.flatnonzero(n_bytes > 1)
+    for k in range(1, longest):
+        payload = (data[starts[more] + k] & 0x7F).astype(np.uint64)
+        values[more] |= payload << np.uint64(7 * k)
+        more = more[n_bytes[more] > k + 1]
+    return values.view(np.int64)
 
 
 def interleave(

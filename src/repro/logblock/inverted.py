@@ -29,7 +29,14 @@ import numpy as np
 
 from repro.common.bitset import Bitset
 from repro.common.bytesio import BinaryReader, BinaryWriter
-from repro.logblock.encode_kernels import interleave, str_stream, uvarint_stream
+from repro.common.errors import SerializationError
+from repro.common.varint import decode_uvarint
+from repro.logblock.encode_kernels import (
+    interleave,
+    str_stream,
+    uvarint_decode_stream,
+    uvarint_stream,
+)
 from repro.logblock.tokenizer import normalize_term, tokenize_many, tokenize_unique
 
 
@@ -191,7 +198,7 @@ class InvertedIndex:
         result: Bitset | None = None
         for term in terms:
             rows = self.lookup(term)
-            bits = Bitset.from_indices(self._row_count, rows.tolist())
+            bits = Bitset.from_indices(self._row_count, rows)
             result = bits if result is None else (result & bits)
             if not result.any():
                 break
@@ -204,7 +211,7 @@ class InvertedIndex:
         result = Bitset(self._row_count)
         for term in terms:
             rows = self.lookup(term)
-            result = result | Bitset.from_indices(self._row_count, rows.tolist())
+            result = result | Bitset.from_indices(self._row_count, rows)
         return result
 
     # -- serialization -------------------------------------------------------
@@ -241,21 +248,54 @@ class InvertedIndex:
         tokenize = bool(reader.read_u8())
         row_count = reader.read_uvarint()
         term_count = reader.read_uvarint()
+        # Walk the terms and posting counts only.  A posting run of n
+        # deltas ends at the n-th byte from its start that has no
+        # continuation bit; those bytes are found by bisection.
+        buf = np.frombuffer(data, dtype=np.uint8)
+        stops = np.flatnonzero(buf < 0x80).tolist()
         terms: list[str] = []
-        rows: list[int] = []
-        offsets = [0]
+        counts: list[int] = []
+        run_starts: list[int] = []
+        run_stops: list[int] = []
+        pos, size = reader.offset, len(data)
         for _ in range(term_count):
-            terms.append(reader.read_str())
-            n_rows = reader.read_uvarint()
-            prev = 0
-            for _ in range(n_rows):
-                prev += reader.read_uvarint()
-                rows.append(prev)
-            offsets.append(len(rows))
-        return cls(
-            terms,
-            np.array(rows, dtype=np.int64),
-            np.array(offsets, dtype=np.int64),
-            row_count,
-            tokenize,
-        )
+            if pos < size and data[pos] < 0x80:
+                end = pos + 1 + data[pos]
+                pos += 1
+            else:
+                length, pos = decode_uvarint(data, pos)
+                end = pos + length
+            if end > size:
+                raise SerializationError(
+                    f"read of {end - pos} bytes at {pos} overruns buffer of {size}"
+                )
+            terms.append(data[pos:end].decode("utf-8"))
+            if end < size and data[end] < 0x80:
+                n_rows, pos = data[end], end + 1
+            else:
+                n_rows, pos = decode_uvarint(data, end)
+            counts.append(n_rows)
+            run_starts.append(pos)
+            if n_rows:
+                last = bisect_left(stops, pos) + n_rows - 1
+                if last >= len(stops):
+                    raise SerializationError("truncated uvarint")
+                pos = stops[last] + 1
+            run_stops.append(pos)
+        counts_arr = np.asarray(counts, dtype=np.int64)
+        offsets = np.zeros(term_count + 1, dtype=np.int64)
+        np.cumsum(counts_arr, out=offsets[1:])
+        # Decode every run as one stream, then prefix-sum the deltas
+        # with the sum restarting at each term.
+        starts = np.asarray(run_starts, dtype=np.int64)
+        lens = np.asarray(run_stops, dtype=np.int64) - starts
+        shift = starts - (np.cumsum(lens) - lens)
+        deltas = uvarint_decode_stream(buf[np.arange(int(lens.sum())) + np.repeat(shift, lens)])
+        if deltas.size != offsets[-1]:
+            raise SerializationError(
+                f"decoded {deltas.size} postings, expected {int(offsets[-1])}"
+            )
+        sums = np.zeros(deltas.size + 1, dtype=np.int64)
+        np.cumsum(deltas, out=sums[1:])
+        rows = sums[1:] - np.repeat(sums[offsets[:-1]], counts_arr)
+        return cls(terms, rows, offsets, row_count, tokenize)

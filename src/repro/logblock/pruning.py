@@ -258,14 +258,14 @@ def _index_rowids(
             if spec.tokenize:
                 return None  # tokenized values can't be matched exactly from terms
             rows = index.lookup(str(predicate.value))
-            return Bitset.from_indices(row_count, rows.tolist())
+            return Bitset.from_indices(row_count, rows)
         if isinstance(predicate, InPredicate):
             if spec.tokenize:
                 return None
             bits = Bitset(row_count)
             for value in predicate.values:
                 rows = index.lookup(str(value))
-                bits = bits | Bitset.from_indices(row_count, rows.tolist())
+                bits = bits | Bitset.from_indices(row_count, rows)
             return bits
         if isinstance(predicate, MatchPredicate):
             terms = [normalize_term(t) for t in predicate.terms]
@@ -274,7 +274,7 @@ def _index_rowids(
             if spec.tokenize:
                 return None  # whole-value prefixes don't map to token terms
             rows = index.lookup_prefix(predicate.prefix)
-            return Bitset.from_indices(row_count, rows.tolist())
+            return Bitset.from_indices(row_count, rows)
         return None
 
     if isinstance(index, BkdIndex):

@@ -94,9 +94,6 @@ class LogBlockMeta:
     def column_sma(self, column: str) -> Sma:
         return self.column_smas[self.schema.column_index(column)]
 
-    def block_header(self, column: str, block_idx: int) -> BlockHeader:
-        return self.block_headers[self.schema.column_index(column)][block_idx]
-
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self, version: int = META_VERSION) -> bytes:

@@ -126,6 +126,3 @@ class UsageMeter:
 
     def tenants(self) -> list[int]:
         return sorted(self._tenants)
-
-    def all_usage(self) -> list[TenantUsage]:
-        return [self.usage(tenant_id) for tenant_id in self.tenants()]

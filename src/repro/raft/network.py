@@ -112,9 +112,6 @@ class SimNetwork:
         self._down.discard(node_id)
         self._incarnations[node_id] = self._incarnations.get(node_id, 0) + 1
 
-    def is_down(self, node_id: str) -> bool:
-        return node_id in self._down
-
     def set_drop_probability(self, probability: float) -> None:
         if not 0 <= probability <= 1:
             raise ValueError("drop_probability must be in [0, 1]")

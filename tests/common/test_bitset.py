@@ -26,6 +26,22 @@ class TestConstruction:
         with pytest.raises(IndexError):
             Bitset.from_indices(5, [5])
 
+    @pytest.mark.parametrize("rows", [[5], [-1], [0, 7]])
+    def test_from_indices_array_out_of_range(self, rows):
+        with pytest.raises(IndexError):
+            Bitset.from_indices(5, np.array(rows, dtype=np.int64))
+
+    @given(st.integers(0, 70), st.lists(st.integers(0, 69), max_size=20))
+    def test_from_indices_array_matches_set_loop(self, size, rows):
+        rows = [row for row in rows if row < size]  # duplicates kept
+        expected = Bitset(size)
+        for row in rows:
+            expected.set(row)
+        got = Bitset.from_indices(size, np.array(rows, dtype=np.int64))
+        assert got == expected
+        assert got.to_bytes() == expected.to_bytes()
+        assert Bitset.from_indices(size, iter(rows)) == expected
+
     def test_full(self):
         bits = Bitset.full(13)
         assert bits.count() == 13

@@ -1,20 +1,11 @@
-"""Varint and zigzag encoding tests."""
+"""Varint encoding tests."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import SerializationError
-from repro.common.varint import (
-    decode_svarint,
-    decode_uvarint,
-    decode_uvarint_list,
-    encode_svarint,
-    encode_uvarint,
-    encode_uvarint_list,
-    zigzag_decode,
-    zigzag_encode,
-)
+from repro.common.varint import decode_uvarint, encode_uvarint
 
 
 class TestUvarint:
@@ -55,38 +46,3 @@ class TestUvarint:
         decoded, pos = decode_uvarint(encoded)
         assert decoded == value
         assert pos == len(encoded)
-
-
-class TestZigzag:
-    @pytest.mark.parametrize(
-        "value,expected", [(0, 0), (-1, 1), (1, 2), (-2, 3), (2, 4)]
-    )
-    def test_known_mapping(self, value, expected):
-        assert zigzag_encode(value) == expected
-
-    @given(st.integers(min_value=-(2**62), max_value=2**62))
-    def test_roundtrip(self, value):
-        assert zigzag_decode(zigzag_encode(value)) == value
-
-
-class TestSvarint:
-    @given(st.integers(min_value=-(2**62), max_value=2**62))
-    def test_roundtrip(self, value):
-        decoded, _pos = decode_svarint(encode_svarint(value))
-        assert decoded == value
-
-    def test_small_negatives_are_small(self):
-        assert len(encode_svarint(-1)) == 1
-        assert len(encode_svarint(-64)) == 1
-
-
-class TestUvarintList:
-    def test_empty(self):
-        values, pos = decode_uvarint_list(encode_uvarint_list([]))
-        assert values == []
-        assert pos == 1
-
-    @given(st.lists(st.integers(min_value=0, max_value=2**32), max_size=50))
-    def test_roundtrip(self, values):
-        decoded, _pos = decode_uvarint_list(encode_uvarint_list(values))
-        assert decoded == values

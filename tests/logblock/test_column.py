@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import SerializationError
-from repro.logblock.column import decode_block, encode_block
+from repro.logblock.column import decode_block, decode_block_arrays, encode_block
 from repro.logblock.schema import ColumnType
 
 
@@ -87,6 +87,27 @@ class TestErrors:
         encoded = encode_block([1, 2, 3], ColumnType.INT64)
         with pytest.raises(SerializationError):
             decode_block(encoded, ColumnType.INT64, 5)
+
+    def test_dict_code_past_dictionary(self):
+        # A 2-entry DICT block whose last code names no dictionary value.
+        values = ["a", "b"] * 10
+        data = bytearray(encode_block(values, ColumnType.STRING))
+        assert decode_block_arrays(bytes(data), ColumnType.STRING, 20)[0][-1] == 2
+        data[-1] = 5
+        with pytest.raises(SerializationError, match="dictionary"):
+            decode_block(bytes(data), ColumnType.STRING, 20)
+        with pytest.raises(SerializationError, match="dictionary"):
+            decode_block_arrays(bytes(data), ColumnType.STRING, 20)
+
+    def test_bool_value_bitset_size_mismatch(self):
+        # The null bitset of a 2-row block, then the value bitset of a
+        # 3-row block (a len-prefixed bitset of under 8 rows is 6 bytes).
+        data = (
+            encode_block([True, None], ColumnType.BOOL)[:6]
+            + encode_block([True, None, False], ColumnType.BOOL)[6:]
+        )
+        with pytest.raises(SerializationError, match="value bitset"):
+            decode_block(data, ColumnType.BOOL, 2)
 
     def test_empty_block(self):
         assert roundtrip([], ColumnType.INT64) == []
